@@ -13,6 +13,11 @@ serialization with an MSHR file:
 This mirrors Ruby's transient-state behaviour at transaction
 granularity: while a line is in flight, later requestors wait instead of
 racing.
+
+:meth:`CoherentPort.load`, :meth:`~CoherentPort.store` and
+:meth:`~CoherentPort.load_batch` are the only entry points, and every
+request — traced, profiled or not — takes the one path through
+:meth:`CoherentPort._request`.
 """
 
 from __future__ import annotations
@@ -23,7 +28,6 @@ from typing import Callable, Optional
 
 from repro.coherence.hammer import AccessResult, HammerSystem
 from repro.engine.event import EventQueue
-from repro.engine.modes import batch_kernel_enabled
 from repro.mem.mshr import MSHRFile
 from repro.utils.profiler import PROFILER
 
@@ -52,18 +56,6 @@ class CoherentPort:
         #: when entries retire (no polling — a full file would otherwise
         #: cause a retry storm under heavy fan-in)
         self._waiting: "deque" = deque()
-        # The batched kernel shadows load/store/load_batch with its
-        # fused entry points; _request stays the reference path (and the
-        # kernel's fallback for traced runs, parked-request drains, and
-        # merge replays).
-        self._kernel = None
-        if batch_kernel_enabled():
-            from repro.coherence.batch_kernel import PortBatchKernel
-            kernel = PortBatchKernel(self)
-            self._kernel = kernel
-            self.load = kernel.load  # type: ignore[method-assign]
-            self.store = kernel.store  # type: ignore[method-assign]
-            self.load_batch = kernel.load_batch  # type: ignore[method-assign]
 
     def _line(self, address: int) -> int:
         return address & self._line_mask
@@ -73,11 +65,7 @@ class CoherentPort:
         self._request(address, None, callback, is_store=False)
 
     def load_batch(self, requests) -> None:
-        """Issue the loads of one coalesced access (one per line).
-
-        The reference implementation is a plain loop; the batched kernel
-        replaces it with a staged MSHR-mask + fused-walk version.
-        """
+        """Issue the loads of one coalesced access (one per line)."""
         for address, callback in requests:
             self._request(address, None, callback, is_store=False)
 

@@ -170,34 +170,12 @@ def next_state(state: HammerState, event: ProtocolEvent,
 
 
 # ----------------------------------------------------------------------
-# dense derived tables (the transition fast path)
+# per-event rows (the transition fast path)
 # ----------------------------------------------------------------------
 #
-# ``PROTOCOL_TABLE`` stays the single source of truth — everything below
-# is derived from it at import time, so the safety tests that check the
-# declarative table transitively cover the fast paths too.
-
-#: stable integer indices for states/events/actions (definition order)
-STATE_INDEX: Dict[HammerState, int] = {
-    state: i for i, state in enumerate(HammerState)}
-EVENT_INDEX: Dict[ProtocolEvent, int] = {
-    event: i for i, event in enumerate(ProtocolEvent)}
-ACTION_INDEX: Dict[Action, int] = {
-    action: i for i, action in enumerate(Action)}
-STATE_BY_INDEX: Tuple[HammerState, ...] = tuple(HammerState)
-ACTION_BY_INDEX: Tuple[Action, ...] = tuple(Action)
-N_STATES = len(STATE_BY_INDEX)
-N_EVENTS = len(EVENT_INDEX)
-
-#: row-major ``state × event`` integer tables; ``-1`` marks an illegal
-#: transition.  This is the form a compiled (numba) transition kernel
-#: consumes — plain int64-indexable flat arrays with no objects.
-NEXT_STATE_TABLE: List[int] = [-1] * (N_STATES * N_EVENTS)
-ACTION_TABLE: List[int] = [-1] * (N_STATES * N_EVENTS)
-for (_state, _event), (_next, _action) in PROTOCOL_TABLE.items():
-    _flat = STATE_INDEX[_state] * N_EVENTS + EVENT_INDEX[_event]
-    NEXT_STATE_TABLE[_flat] = STATE_INDEX[_next]
-    ACTION_TABLE[_flat] = ACTION_INDEX[_action]
+# ``PROTOCOL_TABLE`` stays the single source of truth — the rows below
+# are derived from it at import time, so the safety tests that check the
+# declarative table transitively cover the fast path too.
 
 #: per-event transition rows for the interpreted hot path: one dict
 #: lookup on the state object replaces tuple construction + hashing of
@@ -218,42 +196,3 @@ REMOTE_STORE_LOCAL_TRANSITIONS = _BY_EVENT[
     ProtocolEvent.REMOTE_STORE_LOCAL]
 REMOTE_STORE_ARRIVE_TRANSITIONS = _BY_EVENT[
     ProtocolEvent.REMOTE_STORE_ARRIVE]
-
-
-# ----------------------------------------------------------------------
-# per-event dense rows (the batched-kernel form)
-# ----------------------------------------------------------------------
-#
-# The batched coherence kernel (:mod:`repro.coherence.batch_kernel`)
-# classifies messages by integer state index, so each event gets a
-# state-indexed row of next-state / action indices (``-1`` = illegal).
-# Like the flat tables above these are *derived* from ``PROTOCOL_TABLE``
-# at import time and carry no information of their own.
-
-def _event_rows(event: ProtocolEvent) -> "Tuple[List[int], List[int]]":
-    next_row = [-1] * N_STATES
-    action_row = [-1] * N_STATES
-    for _state, (_next, _action) in _BY_EVENT[event].items():
-        next_row[STATE_INDEX[_state]] = STATE_INDEX[_next]
-        action_row[STATE_INDEX[_state]] = ACTION_INDEX[_action]
-    return next_row, action_row
-
-
-LOAD_NEXT_ROW, LOAD_ACTION_ROW = _event_rows(ProtocolEvent.LOAD)
-STORE_NEXT_ROW, STORE_ACTION_ROW = _event_rows(ProtocolEvent.STORE)
-PROBE_GETS_NEXT_ROW, PROBE_GETS_ACTION_ROW = _event_rows(
-    ProtocolEvent.PROBE_GETS)
-PROBE_GETX_NEXT_ROW, PROBE_GETX_ACTION_ROW = _event_rows(
-    ProtocolEvent.PROBE_GETX)
-REPLACEMENT_NEXT_ROW, REPLACEMENT_ACTION_ROW = _event_rows(
-    ProtocolEvent.REPLACEMENT)
-
-#: action indices the kernel branches on (named so call sites read)
-A_NONE = ACTION_INDEX[Action.NONE]
-A_ISSUE_GETS = ACTION_INDEX[Action.ISSUE_GETS]
-A_ISSUE_GETX = ACTION_INDEX[Action.ISSUE_GETX]
-A_SILENT_UPGRADE = ACTION_INDEX[Action.SILENT_UPGRADE]
-A_WRITEBACK_DATA = ACTION_INDEX[Action.WRITEBACK_DATA]
-A_SEND_PUTS = ACTION_INDEX[Action.SEND_PUTS]
-A_SUPPLY_DATA = ACTION_INDEX[Action.SUPPLY_DATA]
-A_SEND_ACK = ACTION_INDEX[Action.SEND_ACK]

@@ -89,11 +89,6 @@ class Crossbar(Network):
                         msg_class.virtual_network,
                         msg_class.name.lower())
             for msg_class in MessageClass}
-        #: ``(src, dst, class) -> (egress link, ingress link, size)``
-        #: route cache for the batched coherence kernel, which books the
-        #: two links directly instead of re-walking the node/vnet dicts
-        #: per message.  Links are never replaced, so entries stay valid.
-        self._routes: Dict[tuple, tuple] = {}
 
     def add_node(self, node: str, bytes_per_cycle: int = 32) -> None:
         """Attach *node* to the crossbar (one link pair per vnet)."""
@@ -170,33 +165,6 @@ class Crossbar(Network):
                 args={"src": src, "dst": dst,
                       "line": line_address, "bytes": size})
         return arrival
-
-    def route(self, src: str, dst: str, msg_class: MessageClass) -> tuple:
-        """Resolved ``(egress_link, ingress_link, wire_size)`` for a path.
-
-        The batched kernel precomputes routes for the fixed src/dst
-        pairs a walk can touch and books the links itself; it must bump
-        :attr:`message_counters` alongside each booking so accounting
-        matches :meth:`send_raw` exactly.
-        """
-        key = (src, dst, msg_class)
-        cached = self._routes.get(key)
-        if cached is None:
-            egress = self._egress.get(src)
-            if egress is None:
-                raise KeyError(f"{self.name}: unknown source {src!r}")
-            ingress = self._ingress.get(dst)
-            if ingress is None:
-                raise KeyError(f"{self.name}: unknown dest {dst!r}")
-            size, vnet, _label = self._wire[msg_class]
-            cached = (egress[vnet], ingress[vnet], size)
-            self._routes[key] = cached
-        return cached
-
-    @property
-    def message_counters(self) -> tuple:
-        """The (messages, bytes) counters a direct-booking caller bumps."""
-        return self._messages, self._bytes
 
     def link_queue_delay(self, node: str) -> int:
         """Total queueing delay accumulated at *node*'s links (ticks)."""

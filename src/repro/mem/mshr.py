@@ -48,27 +48,6 @@ class MSHRFile:
         """Entry for *line_address* if the line is already in flight."""
         return self._entries.get(line_address)
 
-    def probe_batch(self, line_addresses: "List[int]") -> "List[bool]":
-        """In-flight mask for a batch of lines (no statistics).
-
-        The merge decision for every line of one coalesced access is
-        stable at batch time: processing line *i* can only *allocate*
-        line *i* itself (the lines of a batch are distinct), never
-        insert or retire another line's entry, so the mask computed here
-        equals the mask a scalar per-line walk would have observed.
-        Wide batches compare against the (bounded, ≤ ``num_entries``)
-        in-flight key set as int64 arrays; small ones use dict lookups.
-        """
-        entries = self._entries
-        if len(line_addresses) >= 32 and entries:
-            import numpy as np
-            keys = np.fromiter(entries.keys(), dtype=np.int64,
-                               count=len(entries))
-            lines = np.fromiter(line_addresses, dtype=np.int64,
-                                count=len(line_addresses))
-            return np.isin(lines, keys).tolist()
-        return [line in entries for line in line_addresses]
-
     @property
     def is_full(self) -> bool:
         return len(self._entries) >= self.num_entries

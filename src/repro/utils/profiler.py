@@ -1,8 +1,8 @@
 """Per-component wall-time profiler for the simulator host process.
 
 Attributes host (wall) time to named sections — coalescer, TLB, cache,
-protocol (the Hammer walk), protocol_table (the batched kernel's
-table-driven probe pass), mshr (in-flight/merge checks), dram (bank/row
+protocol (the Hammer walk), protocol_table (the table-driven probe
+pass), mshr (in-flight/merge checks), dram (bank/row
 timing), network (crossbar link booking), engine, trace build — so a
 perf PR's win is measurable inside the simulator rather than only
 through ``tools/bench_harness.py``.

@@ -1,16 +1,15 @@
-"""Engine-equivalence and event-lifecycle tests.
+"""Event-lifecycle and run-loop tests.
 
-Three kinds of coverage for the epoch-batched run loop:
+Three kinds of coverage for :class:`EventQueue` and the simulator's
+run loop:
 
 * the :class:`Event` single-use contract (schedule → cancel →
   re-schedule must raise, not corrupt the queue's accounting);
-* fixed-seed property-style tests driving :class:`EventQueue` and
-  :class:`CompiledEventQueue` through random interleavings of
-  schedule / post / cancel / compaction against a naive sorted-list
-  reference model;
-* scalar vs epoch dispatch equivalence, including callbacks that
-  schedule same-tick work and cancel same-tick later events mid-batch,
-  and the event-budget trip point.
+* fixed-seed property-style tests driving the queue through random
+  interleavings of schedule / post / cancel / compaction, drained by
+  :meth:`Simulator.run`, against a naive sorted-list reference model;
+* same-tick cancellation and the exact event/tick at which each
+  budget trips.
 """
 
 import itertools
@@ -18,13 +17,12 @@ import random
 
 import pytest
 
-from repro.engine.compiled import CompiledEventQueue
 from repro.engine.event import Event, EventQueue
-from repro.engine.modes import engine_mode
 from repro.engine.simulator import SimulationLimitError, Simulator
 
-QUEUE_CLASSES = [EventQueue, CompiledEventQueue]
-QUEUE_IDS = ["python-heap", "key-heap"]
+# a single queue implementation; the id keeps the test names stable
+QUEUE_CLASSES = [EventQueue]
+QUEUE_IDS = ["python-heap"]
 
 
 # ----------------------------------------------------------------------
@@ -106,7 +104,7 @@ class NaiveQueue:
     """Reference model: a plain list sorted at drain time.
 
     Mirrors the queue API surface the property test uses; every insert
-    consumes one sequence number, exactly like the real queues, so the
+    consumes one sequence number, exactly like the real queue, so the
     expected fire order is ``sorted by (tick, seq)`` minus cancellations.
     """
 
@@ -127,28 +125,14 @@ class NaiveQueue:
 
 
 def _drain_per_event(queue):
-    """The Simulator._run dispatch shape, minus budgets."""
-    while True:
-        entry = queue.pop_entry()
-        if entry is None:
-            return
-        entry[3]()
-
-
-def _drain_per_epoch(queue):
-    """The Simulator._run_epoch dispatch shape, minus budgets."""
-    batch = []
-    while queue.pop_epoch(batch):
-        for entry in batch:
-            event = entry[2]
-            if event is not None and event.cancelled:
-                continue
-            entry[3]()
+    """Drain *queue* through the simulator's run loop."""
+    sim = Simulator()
+    sim.queue = queue
+    sim.run()
 
 
 @pytest.mark.parametrize("queue_class", QUEUE_CLASSES, ids=QUEUE_IDS)
-@pytest.mark.parametrize("drain", [_drain_per_event, _drain_per_epoch],
-                         ids=["per-event", "per-epoch"])
+@pytest.mark.parametrize("drain", [_drain_per_event], ids=["per-event"])
 @pytest.mark.parametrize("seed", [0, 1, 2, 3])
 def test_random_interleaving_matches_reference(queue_class, drain, seed):
     rng = random.Random(seed)
@@ -204,97 +188,27 @@ def test_compaction_is_triggered_and_preserves_order(queue_class):
 
 
 # ----------------------------------------------------------------------
-# scalar vs epoch dispatch equivalence
+# same-tick cancellation and budgets
 # ----------------------------------------------------------------------
 
 
-def _dynamic_workload(queue, seed, spawn_budget=300):
-    """Callbacks that schedule same-tick work and cancel pending events.
+def test_same_tick_cancellation_is_honoured():
+    # cancelling an already-fired same-tick event is a no-op
+    queue = EventQueue()
+    fired = []
+    b = queue.schedule_at(5, lambda: fired.append("b"), name="b")
+    queue.schedule_at(5, lambda: (b.cancel(), fired.append("a")), name="a")
+    _drain_per_event(queue)
+    assert fired == ["b", "a"]
 
-    The rng stream is consumed in fire order, so any ordering divergence
-    between two drain strategies derails the logs immediately.
-    """
-    rng = random.Random(seed)
-    log = []
-    pending = {}
-    counter = itertools.count()
-    budget = [spawn_budget]
-
-    def make(label):
-        def callback():
-            log.append((queue.current_tick, label))
-            roll = rng.random()
-            if roll < 0.45 and budget[0] > 0:
-                budget[0] -= 1
-                name = f"s{next(counter)}"
-                offset = rng.choice([0, 0, 1, 2, 5])
-                pending[name] = queue.schedule_at(
-                    queue.current_tick + offset, make(name), name=name)
-            elif roll < 0.60 and budget[0] > 0:
-                budget[0] -= 1
-                name = f"a{next(counter)}"
-                queue.post_after(rng.choice([0, 1, 3]), make(name))
-            elif roll < 0.75 and pending:
-                # may cancel a same-tick event already extracted into
-                # the current epoch batch — must be skipped either way
-                keys = sorted(pending)
-                victim = pending.pop(keys[rng.randrange(len(keys))])
-                victim.cancel()
-        return callback
-
-    for i in range(8):
-        name = f"root{i}"
-        pending[name] = queue.schedule_at(i % 3, make(name), name=name)
-    return log
-
-
-@pytest.mark.parametrize("queue_class", QUEUE_CLASSES, ids=QUEUE_IDS)
-@pytest.mark.parametrize("seed", [7, 11, 13])
-def test_epoch_dispatch_matches_per_event_dispatch(queue_class, seed):
-    scalar_queue = queue_class()
-    scalar_log = _dynamic_workload(scalar_queue, seed)
-    _drain_per_event(scalar_queue)
-
-    epoch_queue = queue_class()
-    epoch_log = _dynamic_workload(epoch_queue, seed)
-    _drain_per_epoch(epoch_queue)
-
-    assert scalar_log == epoch_log
-    assert scalar_queue.current_tick == epoch_queue.current_tick
-
-
-def test_compiled_queue_matches_python_queue():
-    seed = 99
-    python_queue = EventQueue()
-    python_log = _dynamic_workload(python_queue, seed)
-    _drain_per_epoch(python_queue)
-
-    compiled_queue = CompiledEventQueue()
-    compiled_log = _dynamic_workload(compiled_queue, seed)
-    _drain_per_epoch(compiled_queue)
-
-    assert python_log == compiled_log
-
-
-def test_in_batch_cancellation_is_honoured_by_both_loops():
     # A (tick 5, earlier seq) cancels B (tick 5, later seq): B is already
-    # in the epoch batch when A runs, and must still be skipped.
-    for drain in (_drain_per_event, _drain_per_epoch):
-        queue = EventQueue()
-        fired = []
-        # cancelling an already-fired same-tick event is a no-op
-        b = queue.schedule_at(5, lambda: fired.append("b"), name="b")
-        queue.schedule_at(5, lambda: (b.cancel(), fired.append("a")),
-                          name="a")
-        drain(queue)
-        assert fired == ["b", "a"]
-
-        queue = EventQueue()
-        fired = []
-        queue.post_at(5, lambda: (victim.cancel(), fired.append("a")))
-        victim = queue.schedule_at(5, lambda: fired.append("b"), name="b")
-        drain(queue)
-        assert fired == ["a"], f"{drain.__name__} fired {fired}"
+    # due when A runs, and must still be skipped
+    queue = EventQueue()
+    fired = []
+    queue.post_at(5, lambda: (victim.cancel(), fired.append("a")))
+    victim = queue.schedule_at(5, lambda: fired.append("b"), name="b")
+    _drain_per_event(queue)
+    assert fired == ["a"]
 
 
 def _budget_workload(queue):
@@ -310,46 +224,25 @@ def _budget_workload(queue):
     return fired
 
 
-def test_event_budget_trips_identically_across_modes(monkeypatch):
-    outcomes = {}
-    for mode_env in (None, "scalar", "compiled"):
-        monkeypatch.delenv("REPRO_SCALAR_ENGINE", raising=False)
-        monkeypatch.delenv("REPRO_COMPILED_ENGINE", raising=False)
-        if mode_env == "scalar":
-            monkeypatch.setenv("REPRO_SCALAR_ENGINE", "1")
-        elif mode_env == "compiled":
-            monkeypatch.setenv("REPRO_COMPILED_ENGINE", "1")
-        sim = Simulator(max_events=7)
-        fired = _budget_workload(sim.queue)
-        with pytest.raises(SimulationLimitError, match="event budget"):
-            sim.run()
-        outcomes[mode_env] = (tuple(fired), sim.events_fired, sim.now)
-    assert outcomes[None] == outcomes["scalar"] == outcomes["compiled"]
+def test_event_budget_trips_on_the_first_event_over_budget():
+    sim = Simulator(max_events=7)
+    fired = _budget_workload(sim.queue)
+    with pytest.raises(SimulationLimitError,
+                       match=r"event budget exceeded \(7\)"):
+        sim.run()
+    # seven events fire; the eighth, at tick 7, is counted and refused
+    assert fired == list(range(7))
+    assert sim.events_fired == 8
+    assert sim.now == 7
 
 
-def test_tick_budget_trips_identically_across_modes(monkeypatch):
-    outcomes = {}
-    for scalar in (False, True):
-        if scalar:
-            monkeypatch.setenv("REPRO_SCALAR_ENGINE", "1")
-        else:
-            monkeypatch.delenv("REPRO_SCALAR_ENGINE", raising=False)
-        sim = Simulator(max_ticks=10)
-        fired = _budget_workload(sim.queue)
-        with pytest.raises(SimulationLimitError, match="tick budget"):
-            sim.run()
-        outcomes[scalar] = tuple(fired)
-    assert outcomes[False] == outcomes[True]
-
-
-def test_engine_mode_resolution(monkeypatch):
-    monkeypatch.delenv("REPRO_SCALAR_ENGINE", raising=False)
-    monkeypatch.delenv("REPRO_COMPILED_ENGINE", raising=False)
-    assert engine_mode() == "epoch"
-    monkeypatch.setenv("REPRO_COMPILED_ENGINE", "1")
-    assert engine_mode() == "compiled"
-    monkeypatch.setenv("REPRO_SCALAR_ENGINE", "1")
-    assert engine_mode() == "scalar"  # scalar beats compiled
-    monkeypatch.setenv("REPRO_COMPILED_ENGINE", "0")
-    monkeypatch.setenv("REPRO_SCALAR_ENGINE", "0")
-    assert engine_mode() == "epoch"  # "0" means unset
+def test_tick_budget_trips_on_the_first_event_past_the_budget():
+    sim = Simulator(max_ticks=10)
+    fired = _budget_workload(sim.queue)
+    with pytest.raises(SimulationLimitError,
+                       match=r"tick budget exceeded: 11 > 10"):
+        sim.run()
+    # ticks 0..10 fire; the event at tick 11 is refused before it runs
+    assert fired == list(range(11))
+    assert sim.events_fired == 11
+    assert sim.now == 11
