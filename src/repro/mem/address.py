@@ -12,10 +12,7 @@ standard GPU L2 design.
 
 from __future__ import annotations
 
-from typing import List, Sequence, Tuple
-
-from repro.utils.bitops import bit_slice, is_power_of_two, log2_exact
-from repro.utils.pipeline import np
+from repro.utils.bitops import is_power_of_two, log2_exact
 
 
 class AddressLayout:
@@ -78,23 +75,6 @@ class AddressLayout:
     def tag(self, address: int) -> int:
         """Tag bits of *address* (everything above the index)."""
         return address >> self.tag_shift
-
-    def decompose_batch(self, addresses: Sequence[int]
-                        ) -> Tuple[List[int], List[int]]:
-        """Vectorized (set indices, tags) for a batch of addresses.
-
-        One NumPy shift/mask pass replaces per-address
-        :meth:`set_index`/:meth:`tag` calls; results are plain int lists
-        ready for the Python tag scan.  Falls back to the scalar methods
-        without NumPy.
-        """
-        if np is None:
-            return ([self.set_index(address) for address in addresses],
-                    [self.tag(address) for address in addresses])
-        line_numbers = (np.asarray(addresses, dtype=np.int64)
-                        >> self.line_shift)
-        return ((line_numbers & self.index_mask).tolist(),
-                (line_numbers >> self.index_bits).tolist())
 
     def rebuild(self, tag: int, set_index: int) -> int:
         """Inverse of (:meth:`tag`, :meth:`set_index`): the line address."""

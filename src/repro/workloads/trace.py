@@ -16,12 +16,12 @@ CCSM (heap addresses) and direct store (reserved-window addresses) —
 the workload builder simply asks the allocator for the buffer bases.
 
 Lane addresses of a :class:`WarpOp` may be a plain tuple or a contiguous
-NumPy row (the vectorized trace builders in
-:mod:`repro.workloads.patterns` emit views into one per-pattern address
-matrix).  Memory ops can additionally carry their *precompiled* coalesced
-line list — the exact first-lane-order output of
-:meth:`repro.gpu.coalescer.Coalescer.coalesce` — computed once at
-workload build time so the SM's issue path only records statistics.
+NumPy row (the trace builders in :mod:`repro.workloads.patterns` emit
+views into one per-pattern address matrix).  Memory ops also carry
+their *precompiled* coalesced line list — the exact first-lane-order
+output of :meth:`repro.gpu.coalescer.Coalescer.coalesce` — computed
+once at workload build time so the SM's issue path only records
+statistics.
 """
 
 from __future__ import annotations
@@ -30,7 +30,7 @@ from dataclasses import dataclass, field
 from enum import Enum
 from typing import List, Optional, Sequence, Tuple
 
-from repro.utils.pipeline import HAVE_NUMPY, np
+import numpy as np
 
 
 class OpKind(Enum):
@@ -111,8 +111,8 @@ def coalesce_addresses(lane_addresses: Sequence[int],
                        line_size: int) -> List[int]:
     """Reference coalescing: distinct line addresses, first-lane order.
 
-    This is the semantic contract every coalescing path (scalar loop,
-    NumPy batch, precompiled lines) must reproduce exactly.
+    This is the semantic contract the coalescer (lane loop or NumPy
+    batch) and the precompiled line lists must reproduce exactly.
     """
     line_mask = ~(line_size - 1)
     return list(dict.fromkeys(int(address) & line_mask
@@ -147,7 +147,7 @@ def precompile_op(op: WarpOp, line_size: int) -> None:
     if op.kind not in _MEMORY_KINDS or op.lines_size == line_size:
         return
     addresses = op.addresses
-    if HAVE_NUMPY and isinstance(addresses, np.ndarray):
+    if isinstance(addresses, np.ndarray):
         masked = addresses & ~(line_size - 1)
         op.lines = list(dict.fromkeys(masked.tolist()))
     else:
@@ -203,9 +203,10 @@ Phase = object
 def precompile_phases(phases: Sequence[object], line_size: int) -> None:
     """Precompile coalesced lines for every kernel in a phase list.
 
-    Called by the system before execution (when the vectorized pipeline
-    is active) so kernels built by hand — without the vectorized pattern
-    helpers — still skip the per-lane coalescing loop at issue time.
+    Called by the system before execution
+    (:meth:`repro.workloads.base.Workload.build_phases`) so kernels
+    built by hand — without the pattern helpers — still skip the
+    per-lane coalescing loop at issue time.
     """
     for phase in phases:
         if isinstance(phase, KernelLaunch):

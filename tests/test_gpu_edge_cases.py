@@ -4,6 +4,7 @@ import pytest
 
 from repro.core.protocol_mode import CoherenceMode
 from repro.core.system import IntegratedSystem
+from repro.telemetry import TRACER, TelemetrySettings
 from repro.workloads.base import Workload
 from repro.workloads.trace import (
     KernelLaunch,
@@ -26,9 +27,9 @@ class _Kernel(Workload):
         return [KernelLaunch("k", self._warps_builder(self.base))]
 
 
-def run(config, warps_builder, record=False):
+def run(config, warps_builder, record=False, telemetry=None):
     system = IntegratedSystem(config, CoherenceMode.CCSM,
-                              record_gpu_loads=record)
+                              record_gpu_loads=record, telemetry=telemetry)
     workload = _Kernel(warps_builder)
     return system, system.run(workload), workload
 
@@ -114,3 +115,32 @@ class TestLoadRecording:
 
         system, _result, _w = run(tiny_config, warps)
         assert system.sms[0].loaded_values == []
+
+
+class TestEmptyLaneOps:
+    """A memory op with no lanes touches nothing, observed or not."""
+
+    @staticmethod
+    def warps(base):
+        return [WarpProgram([WarpOp.load([]), WarpOp.load([base]),
+                             WarpOp.store([], 3), WarpOp.compute(2)])]
+
+    def test_plain_traced_and_recording_runs_agree(self, tiny_config):
+        plain_system, plain, _w = run(tiny_config, self.warps)
+        TRACER.disable()
+        TRACER.clear()
+        try:
+            _s, traced, _w = run(tiny_config, self.warps,
+                                 telemetry=TelemetrySettings(trace=True))
+        finally:
+            TRACER.disable()
+            TRACER.clear()
+        system, recorded, _w = run(tiny_config, self.warps, record=True)
+        for other in (traced, recorded):
+            assert other.total_ticks == plain.total_ticks
+            assert other.stats == plain.stats
+        # only the one-line load reaches the coalescer and the L1
+        coalescer = plain_system.sms[0].coalescer
+        assert coalescer.stats.counter("instructions").value == 1
+        assert plain.gpu_l1.accesses == 1
+        assert len(system.sms[0].loaded_values) == 1
