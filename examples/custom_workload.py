@@ -51,12 +51,12 @@ class Histogram256(Workload):
         for index in range(num_lines):
             warp = programs[index % warps]
             line_base = samples + index * ctx.line_size
-            warp.ops.append(WarpOp.load(
+            warp.append(WarpOp.load(
                 [line_base + lane * 4 for lane in range(ctx.lanes_per_warp)]))
-            warp.ops.append(WarpOp.compute(4))  # binning arithmetic
+            warp.append(WarpOp.compute(4))  # binning arithmetic
         # each warp flushes its private sub-histogram at the end
         for warp in programs:
-            warp.ops.append(WarpOp.store(
+            warp.append(WarpOp.store(
                 [bins + lane * 4 for lane in range(ctx.lanes_per_warp)],
                 value=1))
 

@@ -9,10 +9,10 @@ exercise heavily.
 
 The line list is always the distinct line addresses in first-lane
 order (:func:`repro.workloads.trace.coalesce_addresses` is the
-reference).  Workload builders attach it to each op at trace build time,
-so :meth:`Coalescer.coalesce_op` usually only records statistics; lanes
-of ops without precompiled lines are coalesced here, a NumPy lane row in
-one vectorized shot.
+reference).  Workload builders precompile it into each warp program's
+``lines`` column at trace build time, so the SM usually only records
+statistics; lanes of ops without precompiled lines for this line size
+are coalesced here (a NumPy lane array in one vectorized shot).
 """
 
 from __future__ import annotations

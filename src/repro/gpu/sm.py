@@ -29,61 +29,36 @@ from repro.telemetry.tracer import TRACER
 from repro.utils.profiler import PROFILER
 from repro.utils.statistics import StatsRegistry
 from repro.vm.mmu import MMU
-from repro.workloads.trace import OpKind, WarpOp, WarpProgram
+from repro.workloads.trace import OP_COMPUTE, OP_LOAD, OP_SHMEM, WarpProgram
 
 SliceRouter = Callable[[int], str]
-
-#: integer op codes for the precompiled issue loop (enum identity checks
-#: off the per-issue path); anything unknown maps to _K_OTHER and raises
-#: when issued
-_K_COMPUTE, _K_SHMEM, _K_LOAD, _K_STORE, _K_OTHER = 0, 1, 2, 3, 4
 
 #: warp ``gate`` value meaning "cannot issue": done, or blocked on loads.
 #: An int (not inf) so gate comparisons never promote to float.
 _GATE_BLOCKED = 1 << 62
 
 
-def _compile_ops(program: WarpProgram, period_ticks: int,
-                 shmem_latency_cycles: int
-                 ) -> Tuple[List[int], List[int]]:
-    """(kind codes, ready-tick deltas) for a program's op list.
+def _compile_deltas(program: WarpProgram, period_ticks: int,
+                    shmem_latency_cycles: int) -> List[int]:
+    """Ready-tick delta of each op of *program* (0 for memory ops).
 
     COMPUTE and SHMEM ops complete a fixed number of ticks after issue;
     precomputing ``max(1, cycles) * period`` turns the issue loop's
-    per-op timing arithmetic into one list index.  The compiled pair is
-    cached on the program keyed by the clock parameters, so the many SMs
-    sharing one clock (and repeat launches of the same trace) compile
-    once.
+    per-op timing arithmetic into one list index.
     """
-    key = (period_ticks, shmem_latency_cycles)
-    cached = getattr(program, "_sm_compiled", None)
-    if cached is not None and cached[0] == key:
-        return cached[1], cached[2]
-    ops = program.ops
-    compute, shmem = OpKind.COMPUTE, OpKind.SHMEM
-    load, store = OpKind.LOAD, OpKind.STORE
-    # identity chain, not a dict: Enum.__hash__ is a python-level call
-    kinds = [_K_COMPUTE if (kind := op.kind) is compute
-             else _K_SHMEM if kind is shmem
-             else _K_LOAD if kind is load
-             else _K_STORE if kind is store
-             else _K_OTHER
-             for op in ops]
     shmem_ticks = shmem_latency_cycles * period_ticks
-    deltas = [(op.cycles if op.cycles > 1 else 1) * period_ticks
-              if code == _K_COMPUTE else
-              (op.cycles if op.cycles > 1 else 1) * shmem_ticks
-              if code == _K_SHMEM else 0
-              for code, op in zip(kinds, ops)]
-    try:
-        program._sm_compiled = (key, kinds, deltas)
-    except AttributeError:  # slotted/frozen program: recompile per launch
-        pass
-    return kinds, deltas
+    return [(cycles if cycles > 1 else 1)
+            * (period_ticks if code == OP_COMPUTE else shmem_ticks)
+            if code <= OP_SHMEM else 0
+            for code, cycles in zip(program.kinds, program.cycles)]
 
 
 class _Warp:
     """Execution state of one resident warp.
+
+    The op columns are the program's own lists.  ``lines`` holds one
+    ``None`` per op when the program was compiled for another line
+    size, so the SM coalesces those ops from their lanes.
 
     ``gate`` collapses the scheduler's three-field readiness test into
     one comparison: it equals ``ready_tick`` while the warp can issue
@@ -93,19 +68,23 @@ class _Warp:
     observe the warp again.
     """
 
-    __slots__ = ("ops", "kinds", "deltas", "pc", "num_ops", "ready_tick",
-                 "pending_loads", "done", "gate")
+    __slots__ = ("kinds", "deltas", "lines", "values", "lanes", "pc",
+                 "num_ops", "ready_tick", "pending_loads", "done", "gate")
 
     def __init__(self, program: WarpProgram, period_ticks: int,
-                 shmem_latency_cycles: int) -> None:
-        self.ops: List[WarpOp] = program.ops
-        self.kinds, self.deltas = _compile_ops(
-            program, period_ticks, shmem_latency_cycles)
+                 shmem_latency_cycles: int, line_size: int) -> None:
+        self.kinds = program.kinds
+        self.deltas = _compile_deltas(program, period_ticks,
+                                      shmem_latency_cycles)
+        self.num_ops = len(program)
+        self.lines = (program.lines if program.line_size == line_size
+                      else [None] * self.num_ops)
+        self.values = program.values
+        self.lanes = program.lanes
         self.pc = 0
-        self.num_ops = len(self.ops)
         self.ready_tick = 0
         self.pending_loads = 0
-        self.done = not self.ops
+        self.done = not self.num_ops
         self.gate = _GATE_BLOCKED if self.done else 0
 
 
@@ -189,7 +168,8 @@ class StreamingMultiprocessor:
                 for name, port in self.slice_ports.items()}
         period_ticks = self._period_ticks
         shmem_cycles = self.shmem_latency_cycles
-        self._warps = [_Warp(program, period_ticks, shmem_cycles)
+        self._warps = [_Warp(program, period_ticks, shmem_cycles,
+                             self._line_size)
                        for program in programs]
         self._rr_index = 0
         self._on_done = on_done
@@ -268,7 +248,7 @@ class StreamingMultiprocessor:
         self._issued.value += 1
         base = now + self._cycle_ticks
         self._next_issue_tick = base
-        if kind <= _K_SHMEM:  # COMPUTE or SHMEM: fixed-latency pipes
+        if kind <= OP_SHMEM:  # COMPUTE or SHMEM: fixed-latency pipes
             tick = now + picked.deltas[pc]
             picked.ready_tick = tick
             if picked.done:
@@ -276,18 +256,13 @@ class StreamingMultiprocessor:
                 self._maybe_finish()
             else:
                 picked.gate = tick
-        elif kind == _K_LOAD:
-            self._load(picked, picked.ops[pc], now)
-            if picked.done and picked.pending_loads == 0:
-                self._maybe_finish()
-        elif kind == _K_STORE:
-            self._store(picked, picked.ops[pc], now)
-            if picked.done and picked.pending_loads == 0:
-                self._maybe_finish()
         else:
-            raise ValueError(
-                f"{self.name}: warp op {picked.ops[pc].kind} not "
-                f"executable")
+            if kind == OP_LOAD:
+                self._load(picked, pc, now)
+            else:
+                self._store(picked, pc, now)
+            if picked.done and picked.pending_loads == 0:
+                self._maybe_finish()
         # inline _schedule_issue with an early exit: once any runnable
         # warp is ready at or before the next issue slot, the slot time
         # is the target regardless of the true minimum
@@ -324,21 +299,21 @@ class StreamingMultiprocessor:
     # composition.  Observers (profiler sections, the tracer, load
     # recording, the prefetcher) are guarded branches on the same path.
 
-    def _coalesce_translate(self, op: WarpOp
+    def _coalesce_translate(self, warp: _Warp, pc: int
                             ) -> Tuple[Sequence[int], Sequence[int]]:
-        """(coalesced line VAs, line PAs) for one memory op.
+        """(coalesced line VAs, line PAs) for the memory op at *pc*.
 
-        Precompiled lines only record coalescer statistics; ops built
-        for another line size (or by hand) go through the coalescer.  An
-        op with no lines records nothing.
+        Precompiled lines only record coalescer statistics; ops compiled
+        for another line size (or not at all) go through the coalescer.
+        An op with no lines records nothing.
         """
         prof = self._prof
         profiling = prof.enabled
         if profiling:
             prof.start("coalescer")
-        lines = op.lines
-        if lines is None or op.lines_size != self._line_size:
-            lines = self.coalescer.coalesce(op.addresses)
+        lines = warp.lines[pc]
+        if lines is None:
+            lines = self.coalescer.coalesce(warp.lanes[pc])
         elif lines:
             self._co_instr.value += 1
             self._co_trans.value += len(lines)
@@ -371,9 +346,9 @@ class StreamingMultiprocessor:
             prof.stop()
         return lines, pas
 
-    def _load(self, warp: _Warp, op: WarpOp, now: int) -> None:
+    def _load(self, warp: _Warp, pc: int, now: int) -> None:
         warp.ready_tick = now + self._l1_ticks
-        lines, pas = self._coalesce_translate(op)
+        lines, pas = self._coalesce_translate(warp, pc)
         prof = self._prof
         profiling = prof.enabled
         if profiling:
@@ -385,11 +360,12 @@ class StreamingMultiprocessor:
         if profiling:
             prof.stop()
         record = self.record_loads
+        lanes = warp.lanes[pc] if record else ()
         prefetcher = self.prefetcher
         for line_va, pa, line in zip(lines, pas, resident):
             if line is not None:
                 if record:
-                    self._record_line_values(op, line_va, line.data)
+                    self._record_line_values(lanes, line_va, line.data)
                 continue
             warp.pending_loads += 1
             if prefetcher is not None:
@@ -402,7 +378,7 @@ class StreamingMultiprocessor:
                 if record:
                     filled = self.l1.probe(pa)
                     self._record_line_values(
-                        op, line_va,
+                        lanes, line_va,
                         filled.data if filled is not None else None)
                 done_tick = self.queue.current_tick
                 self._load_latency.record(done_tick - now)
@@ -438,10 +414,10 @@ class StreamingMultiprocessor:
         self._outstanding_stores -= 1
         self._maybe_finish()
 
-    def _store(self, warp: _Warp, op: WarpOp, now: int) -> None:
+    def _store(self, warp: _Warp, pc: int, now: int) -> None:
         # stores don't block the warp; the kernel drains them at the end
         warp.ready_tick = now + self._cycle_ticks
-        _lines, pas = self._coalesce_translate(op)
+        _lines, pas = self._coalesce_translate(warp, pc)
         prof = self._prof
         profiling = prof.enabled
         if profiling:
@@ -454,7 +430,7 @@ class StreamingMultiprocessor:
             residents = self.l1.probe_batch(pas)
         if profiling:
             prof.stop()
-        value = op.value
+        value = warp.values[pc]
         store_done = self._store_done_cb
         for pa, resident in zip(pas, residents):
             # write-through, no-allocate: update an existing L1 copy only
@@ -485,10 +461,10 @@ class StreamingMultiprocessor:
         if profiling:
             prof.stop()
 
-    def _record_line_values(self, op: WarpOp, line_va: int,
+    def _record_line_values(self, lanes: Sequence[int], line_va: int,
                             data: Optional[dict]) -> None:
         line_mask = ~(self.l1.line_size - 1)
-        for lane_va in op.addresses:
+        for lane_va in lanes:
             if (lane_va & line_mask) != line_va:
                 continue
             value = None

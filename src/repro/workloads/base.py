@@ -71,11 +71,17 @@ class Workload(ABC):
         returns, every kernel memory op gets its coalesced line list
         attached for *ctx.line_size*
         (:func:`repro.workloads.trace.precompile_phases`) so the SM
-        never walks lanes in Python at issue time.
+        never walks lanes in Python at issue time.  The builders'
+        per-buffer line memo is cleared afterwards, so it keeps nothing
+        alive past the build.
         """
+        from repro.workloads.patterns import line_rows
         from repro.workloads.trace import precompile_phases
 
-        phases = self.build(ctx)
+        try:
+            phases = self.build(ctx)
+        finally:
+            line_rows.cache_clear()
         precompile_phases(phases, ctx.line_size)
         return phases
 

@@ -14,19 +14,24 @@ matching graphs with networkx:
   (neighbours are spatially close, so neighbour indices are *mostly*
   nearby — the same partial coalescing signature).
 
-Both are deterministic for a given seed.
+Both are deterministic for a given seed.  networkx is imported by the
+two generators only, so importing the simulator (and running any
+non-Pannotia workload) does not need it.
 """
 
 from __future__ import annotations
 
 import math
-from typing import List, Tuple
+from typing import TYPE_CHECKING, List, Tuple
 
-import networkx as nx
+if TYPE_CHECKING:
+    import networkx as nx
 
 
 def power_grid_graph(num_nodes: int = 494, seed: int = 7) -> nx.Graph:
     """A power-grid-like sparse graph (degree ~4, high locality)."""
+    import networkx as nx
+
     num_nodes = max(8, num_nodes)
     graph = nx.connected_watts_strogatz_graph(
         num_nodes, k=4, p=0.05, seed=seed, tries=200)
@@ -35,6 +40,8 @@ def power_grid_graph(num_nodes: int = 494, seed: int = 7) -> nx.Graph:
 
 def delaunay_like_graph(num_nodes: int = 8192, seed: int = 7) -> nx.Graph:
     """A Delaunay-like planar-ish graph (average degree ~6)."""
+    import networkx as nx
+
     num_nodes = max(8, num_nodes)
     # radius for expected degree ~6 in a unit square: d = pi r^2 n
     radius = math.sqrt(6.0 / (math.pi * num_nodes))

@@ -16,26 +16,32 @@ Conventions:
 * GPU ops are emitted per warp; callers distribute warps over SMs via
   the kernel launch.
 
-The GPU builders are NumPy-vectorized: each pattern computes one
-(ops × lanes) address matrix with broadcasting, emits ops whose
-``addresses`` are contiguous row views into it, and precompiles every
-op's coalesced line list (:func:`repro.workloads.trace.coalesce_rows`)
-so the SM never walks lanes in Python at issue time.
+The GPU builders fill :class:`~repro.workloads.trace.WarpProgram`
+columns directly, with every memory op's coalesced line tuple
+precompiled so the SM never walks lanes in Python at issue time.  A
+coalesced row's lanes are a ``range`` and its line tuple is shared by
+every sweep over the same buffer in one build (:func:`line_rows`);
+divergent and gather rows keep their lane addresses as tuples, with
+NumPy used only while computing them.
 """
 
 from __future__ import annotations
 
+import functools
 import random
-from typing import List, Optional, Sequence
+from typing import List, Optional, Sequence, Tuple
 
 import numpy as np
 
 from repro.workloads.trace import (
+    OP_COMPUTE,
+    OP_LOAD,
+    OP_SHMEM,
+    OP_STORE,
     CpuOp,
     OpKind,
-    WarpOp,
     WarpProgram,
-    coalesce_rows,
+    coalesce_addresses,
 )
 
 WORD = 4
@@ -71,21 +77,55 @@ def cpu_consume(base: int, nbytes: int,
 # GPU-side patterns
 # ----------------------------------------------------------------------
 
-def _mem_op(row, is_store: bool, value: Optional[int],
-            lines: List[int], line_size: int) -> WarpOp:
-    """A load/store op over a matrix row with precompiled lines."""
-    if is_store:
-        return WarpOp(OpKind.STORE, addresses=row, value=value,
-                      lines=lines, lines_size=line_size)
-    return WarpOp(OpKind.LOAD, addresses=row,
-                  lines=lines, lines_size=line_size)
+@functools.lru_cache(maxsize=16)
+def line_rows(base: int, num_lines: int, lanes: int, line_size: int
+              ) -> Tuple[Tuple[Tuple[int, ...], ...], Tuple[range, ...]]:
+    """(coalesced lines, lane range) of each row of a per-line sweep.
+
+    Row *i* is one fully-coalesced warp access starting at line *i*:
+    lanes ``range(start, start + lanes * WORD, WORD)``.  Memoised, so
+    every sweep over one buffer in a build (reuse, passes, load and
+    store sides) shares the same line tuples and lane ranges;
+    :meth:`repro.workloads.base.Workload.build_phases` clears the memo
+    when its build is done.
+    """
+    span = lanes * WORD
+    starts = range(base, base + num_lines * line_size, line_size)
+    rows = tuple(range(start, start + span, WORD) for start in starts)
+    if base % line_size == 0 and span <= line_size:
+        lines = tuple((start,) for start in starts)
+    else:
+        lines = tuple(tuple(coalesce_addresses(row, line_size))
+                      for row in rows)
+    return lines, rows
 
 
-def _line_matrix(base: int, num_lines: int, lanes: int,
-                 line_size: int) -> "np.ndarray":
-    """Address matrix for one access per line: row *i* covers line *i*."""
-    line_bases = base + np.arange(num_lines, dtype=np.int64) * line_size
-    return line_bases[:, None] + np.arange(lanes, dtype=np.int64) * WORD
+def _emit(program: WarpProgram, kind: int, value: Optional[int],
+          lines: Sequence[Tuple[int, ...]], lanes: Sequence[Sequence[int]],
+          extras: Sequence[Tuple[int, int]] = ()) -> None:
+    """Append one memory op per row, each followed by *extras*.
+
+    *extras* are ``(kind code, cycles)`` fixed-latency entries (compute
+    or shmem) issued after every memory op, in order.
+    """
+    rows = len(lines)
+    width = 1 + len(extras)
+    program.kinds += [kind, *(code for code, _ in extras)] * rows
+    program.cycles += [0, *(cycles for _, cycles in extras)] * rows
+    program.values += [value, *(None for _ in extras)] * rows
+    line_column: List[Optional[Tuple[int, ...]]] = [None] * (rows * width)
+    line_column[::width] = lines
+    program.lines += line_column
+    lane_column: List[Sequence[int]] = [()] * (rows * width)
+    lane_column[::width] = lanes
+    program.lanes += lane_column
+
+
+def _extras(compute: int = 0, shmem: int = 0) -> List[Tuple[int, int]]:
+    """The non-zero compute/shmem entries that follow each access."""
+    return [(code, cycles)
+            for code, cycles in ((OP_COMPUTE, compute), (OP_SHMEM, shmem))
+            if cycles]
 
 
 def stream_warps(base: int, nbytes: int, num_warps: int,
@@ -101,25 +141,41 @@ def stream_warps(base: int, nbytes: int, num_warps: int,
     kernels re-reading their input).
     """
     num_lines = max(1, nbytes // line_size)
-    matrix = _line_matrix(base, num_lines, lanes, line_size)
-    lines_per_row = coalesce_rows(matrix, line_size)
-    programs = [WarpProgram() for _ in range(num_warps)]
-    # ops are immutable once built, so each line's op group is created
-    # once and the objects shared across reuse iterations
-    per_line: List[List[WarpOp]] = []
-    for line_index in range(num_lines):
-        group = [_mem_op(matrix[line_index], is_store, value,
-                         lines_per_row[line_index], line_size)]
-        if compute_per_line:
-            group.append(WarpOp.compute(compute_per_line))
-        if shmem_per_line:
-            group.append(WarpOp.shmem(shmem_per_line))
-        per_line.append(group)
-    for _iteration in range(reuse):
-        for line_index in range(num_lines):
-            programs[line_index % num_warps].ops.extend(
-                per_line[line_index])
+    lines, rows = line_rows(base, num_lines, lanes, line_size)
+    kind = OP_STORE if is_store else OP_LOAD
+    value = value if is_store else None
+    extras = _extras(compute_per_line, shmem_per_line)
+    programs = []
+    for warp in range(num_warps):
+        program = WarpProgram(line_size=line_size)
+        for _iteration in range(reuse):
+            _emit(program, kind, value, lines[warp::num_warps],
+                  rows[warp::num_warps], extras)
+        programs.append(program)
     return programs
+
+
+def coalesce_rows(matrix: "np.ndarray", line_size: int) -> List[List[int]]:
+    """Per-row coalescing of an (ops, lanes) address matrix.
+
+    One vectorized pass masks every lane to its line and classifies rows
+    that collapse to a single line (the fully-coalesced common case);
+    only divergent rows pay a per-row dedup.  Row order and within-row
+    first-lane order match :func:`coalesce_addresses`.
+    """
+    lines = matrix & ~(line_size - 1)
+    firsts = lines[:, 0].tolist()
+    uniform = (lines == lines[:, :1]).all(axis=1)
+    if bool(uniform.all()):
+        return [[first] for first in firsts]
+    out: List[List[int]] = []
+    rows = lines.tolist()
+    for index, is_uniform in enumerate(uniform.tolist()):
+        if is_uniform:
+            out.append([firsts[index]])
+        else:
+            out.append(list(dict.fromkeys(rows[index])))
+    return out
 
 
 def strided_warps(base: int, nbytes: int, num_warps: int,
@@ -134,19 +190,23 @@ def strided_warps(base: int, nbytes: int, num_warps: int,
     write side, NW's column walks).
     """
     num_lines = max(1, nbytes // line_size)
-    programs = [WarpProgram() for _ in range(num_warps)]
+    programs = [WarpProgram(line_size=line_size) for _ in range(num_warps)]
     accesses = max(1, num_lines // lanes)
     flat = np.arange(accesses * lanes, dtype=np.int64)
     line_indices = (flat * stride_lines % num_lines).reshape(accesses,
                                                              lanes)
     matrix = base + line_indices * line_size
     lines_per_row = coalesce_rows(matrix, line_size)
-    for group in range(accesses):
-        warp = programs[group % num_warps]
-        warp.ops.append(_mem_op(matrix[group], is_store, value,
-                                lines_per_row[group], line_size))
-        if compute_per_access:
-            warp.ops.append(WarpOp.compute(compute_per_access))
+    kind = OP_STORE if is_store else OP_LOAD
+    value = value if is_store else None
+    extras = _extras(compute_per_access)
+    for group, row in enumerate(matrix.tolist()):
+        lane_addresses = tuple(row)
+        lines = tuple(lines_per_row[group])
+        if lines == lane_addresses:
+            lines = lane_addresses  # every lane on its own line: share
+        _emit(programs[group % num_warps], kind, value, (lines,),
+              (lane_addresses,), extras)
     return programs
 
 
@@ -161,21 +221,15 @@ def broadcast_warps(base: int, nbytes: int, num_warps: int,
     low miss count signature of GA, KM, and LV.
     """
     num_lines = max(1, nbytes // line_size)
-    programs = [WarpProgram() for _ in range(num_warps)]
-    # one shared matrix: every warp re-reads the same rows/lines.  Ops
-    # are immutable once built, so the whole sweep is created once and
-    # the op objects shared across warps and repeats.
-    matrix = _line_matrix(base, num_lines, lanes, line_size)
-    lines_per_row = coalesce_rows(matrix, line_size)
-    sweep: List[WarpOp] = []
-    for line_index in range(num_lines):
-        sweep.append(_mem_op(matrix[line_index], False, None,
-                             lines_per_row[line_index], line_size))
-        if compute_per_line:
-            sweep.append(WarpOp.compute(compute_per_line))
-    for warp in programs:
+    lines, rows = line_rows(base, num_lines, lanes, line_size)
+    sweep = WarpProgram(line_size=line_size)
+    _emit(sweep, OP_LOAD, None, lines, rows, _extras(compute_per_line))
+    programs = []
+    for _warp in range(num_warps):
+        program = WarpProgram(line_size=line_size)
         for _repeat in range(repeats):
-            warp.ops.extend(sweep)
+            program.extend(sweep)
+        programs.append(program)
     return programs
 
 
@@ -191,20 +245,18 @@ def gather_warps(base: int, nbytes: int, num_warps: int,
     read node data through edge lists.
     """
     elements = max(1, nbytes // WORD)
-    programs = [WarpProgram() for _ in range(num_warps)]
+    programs = [WarpProgram(line_size=line_size) for _ in range(num_warps)]
     flat = base + (np.asarray(indices, dtype=np.int64) % elements) * WORD
-    line_mask = ~(line_size - 1)
-    # one bulk conversion; per-group work is then pure list slicing
-    masked_list = (flat & line_mask).tolist()
+    # one bulk conversion each; per-group work is then pure list slicing
+    addresses = flat.tolist()
+    masked = (flat & ~(line_size - 1)).tolist()
+    extras = _extras(compute_per_access)
     for group_start in range(0, len(indices), lanes):
-        warp = programs[(group_start // lanes) % num_warps]
-        row = flat[group_start:group_start + lanes]
-        lines = list(dict.fromkeys(
-            masked_list[group_start:group_start + lanes]))
-        warp.ops.append(WarpOp(OpKind.LOAD, addresses=row,
-                               lines=lines, lines_size=line_size))
-        if compute_per_access:
-            warp.ops.append(WarpOp.compute(compute_per_access))
+        group_end = group_start + lanes
+        lines = tuple(dict.fromkeys(masked[group_start:group_end]))
+        _emit(programs[(group_start // lanes) % num_warps], OP_LOAD, None,
+              (lines,), (tuple(addresses[group_start:group_end]),),
+              extras)
     return programs
 
 
@@ -212,9 +264,12 @@ def shmem_compute_warps(num_warps: int, bursts: int,
                         cycles_per_burst: int) -> List[WarpProgram]:
     """Pure scratchpad compute (the inner loops of tiled kernels)."""
     programs = [WarpProgram() for _ in range(num_warps)]
-    burst_op = WarpOp.shmem(cycles_per_burst)  # immutable: share it
-    for warp in programs:
-        warp.ops.extend([burst_op] * bursts)
+    for program in programs:
+        program.kinds += [OP_SHMEM] * bursts
+        program.cycles += [cycles_per_burst] * bursts
+        program.lines += [None] * bursts
+        program.values += [None] * bursts
+        program.lanes += [()] * bursts
     return programs
 
 
@@ -232,7 +287,7 @@ def merge_warp_programs(*groups: List[WarpProgram]) -> List[WarpProgram]:
     merged = [WarpProgram() for _ in range(lengths.pop())]
     for group in groups:
         for target, source in zip(merged, group):
-            target.ops.extend(source.ops)
+            target.extend(source)
     return merged
 
 
@@ -244,15 +299,11 @@ def interleave_warp_programs(*groups: List[WarpProgram]
         raise ValueError("warp-group sizes differ")
     merged = [WarpProgram() for _ in range(lengths.pop())]
     for warp_index, target in enumerate(merged):
-        cursors = [0] * len(groups)
-        remaining = sum(len(group[warp_index].ops) for group in groups)
-        while remaining:
-            for group_index, group in enumerate(groups):
-                ops = group[warp_index].ops
-                if cursors[group_index] < len(ops):
-                    target.ops.append(ops[cursors[group_index]])
-                    cursors[group_index] += 1
-                    remaining -= 1
+        sources = [group[warp_index] for group in groups]
+        for position in range(max(len(source) for source in sources)):
+            for source in sources:
+                if position < len(source):
+                    target.extend(source, position, position + 1)
     return merged
 
 

@@ -15,22 +15,23 @@ them at execution time, which is what lets the same trace run under
 CCSM (heap addresses) and direct store (reserved-window addresses) —
 the workload builder simply asks the allocator for the buffer bases.
 
-Lane addresses of a :class:`WarpOp` may be a plain tuple or a contiguous
-NumPy row (the trace builders in :mod:`repro.workloads.patterns` emit
-views into one per-pattern address matrix).  Memory ops also carry
-their *precompiled* coalesced line list — the exact first-lane-order
-output of :meth:`repro.gpu.coalescer.Coalescer.coalesce` — computed
-once at workload build time so the SM's issue path only records
-statistics.
+A :class:`WarpProgram` stores its ops as parallel per-op columns (kind
+code, cycles, precompiled lines, store value, lanes) that the trace
+builders in :mod:`repro.workloads.patterns` fill directly and the SM
+reads directly; no per-op object survives the build.  A memory op's
+*precompiled* line tuple is the exact first-lane-order output of
+:meth:`repro.gpu.coalescer.Coalescer.coalesce`, computed once at build
+time so the SM's issue path only records statistics.  :class:`WarpOp`
+is the value type for authoring ops by hand and for inspecting a
+program (``program.ops``).
 """
 
 from __future__ import annotations
 
+import collections.abc
 from dataclasses import dataclass, field
 from enum import Enum
-from typing import List, Optional, Sequence, Tuple
-
-import numpy as np
+from typing import Iterable, Iterator, List, Optional, Sequence, Tuple, Union
 
 
 class OpKind(Enum):
@@ -66,13 +67,13 @@ class CpuOp:
 
 @dataclass(slots=True)
 class WarpOp:
-    """One warp-wide GPU operation.
+    """One warp-wide GPU operation, for authoring and inspection.
 
     For memory ops, *addresses* holds the per-lane byte addresses of one
-    vector instruction (a tuple, or a NumPy row from the vectorized
-    builders); the coalescer merges them into line requests.  When
-    *lines* is set it is the precompiled coalesce result for line size
-    *lines_size* — distinct line addresses in first-lane order.
+    vector instruction; the coalescer merges them into line requests.
+    When *lines* is set it is the precompiled coalesce result for line
+    size *lines_size* — distinct line addresses in first-lane order.
+    :meth:`WarpProgram.append` stores an op as column entries.
     """
 
     kind: OpKind
@@ -103,8 +104,12 @@ class WarpOp:
         return WarpOp(OpKind.SHMEM, cycles=cycles)
 
 
-#: op kinds that carry lane addresses through the memory pipeline
-_MEMORY_KINDS = (OpKind.LOAD, OpKind.STORE)
+#: integer kind codes of a :class:`WarpProgram`'s ``kinds`` column; the
+#: fixed-latency kinds come first so ``code <= OP_SHMEM`` tests for them
+OP_COMPUTE, OP_SHMEM, OP_LOAD, OP_STORE = range(4)
+#: kind code -> :class:`OpKind`
+OP_KINDS = (OpKind.COMPUTE, OpKind.SHMEM, OpKind.LOAD, OpKind.STORE)
+_OP_CODES = {kind: code for code, kind in enumerate(OP_KINDS)}
 
 
 def coalesce_addresses(lane_addresses: Sequence[int],
@@ -119,55 +124,118 @@ def coalesce_addresses(lane_addresses: Sequence[int],
                               for address in lane_addresses))
 
 
-def coalesce_rows(matrix: "np.ndarray", line_size: int) -> List[List[int]]:
-    """Per-row coalescing of an (ops, lanes) address matrix.
-
-    One vectorized pass masks every lane to its line and classifies rows
-    that collapse to a single line (the fully-coalesced common case);
-    only divergent rows pay a per-row dedup.  Row order and within-row
-    first-lane order match :func:`coalesce_addresses`.
-    """
-    lines = matrix & ~(line_size - 1)
-    firsts = lines[:, 0].tolist()
-    uniform = (lines == lines[:, :1]).all(axis=1)
-    if bool(uniform.all()):
-        return [[first] for first in firsts]
-    out: List[List[int]] = []
-    rows = lines.tolist()
-    for index, is_uniform in enumerate(uniform.tolist()):
-        if is_uniform:
-            out.append([firsts[index]])
-        else:
-            out.append(list(dict.fromkeys(rows[index])))
-    return out
-
-
-def precompile_op(op: WarpOp, line_size: int) -> None:
-    """Attach the precompiled coalesced line list to one memory op."""
-    if op.kind not in _MEMORY_KINDS or op.lines_size == line_size:
-        return
-    addresses = op.addresses
-    if isinstance(addresses, np.ndarray):
-        masked = addresses & ~(line_size - 1)
-        op.lines = list(dict.fromkeys(masked.tolist()))
-    else:
-        op.lines = coalesce_addresses(addresses, line_size)
-    op.lines_size = line_size
-
-
-@dataclass
 class WarpProgram:
-    """The op trace of one warp."""
+    """The op trace of one warp, as parallel per-op columns.
 
-    ops: List[WarpOp] = field(default_factory=list)
+    * ``kinds`` — :data:`OP_COMPUTE`/:data:`OP_SHMEM`/:data:`OP_LOAD`/
+      :data:`OP_STORE` codes;
+    * ``cycles`` — the cost of a compute or shmem op;
+    * ``lines`` — a memory op's precompiled coalesced line tuple, valid
+      for ``line_size``; ``None`` when not compiled and for non-memory
+      ops;
+    * ``values`` — a store's value (``None`` elsewhere);
+    * ``lanes`` — per-lane byte addresses: a ``range`` for a coalesced
+      row, a tuple otherwise, ``()`` for non-memory ops.
+
+    Builders fill the columns directly and may share immutable entries
+    (line tuples, lane ranges) between ops and programs.  ``line_size``
+    is the geometry of every non-``None`` ``lines`` entry (0: none yet).
+    ``ops`` is a read-only :class:`WarpOp` view, built on access.
+    """
+
+    __slots__ = ("kinds", "cycles", "lines", "values", "lanes",
+                 "line_size")
+
+    def __init__(self, ops: Iterable[WarpOp] = (),
+                 line_size: int = 0) -> None:
+        self.kinds: List[int] = []
+        self.cycles: List[int] = []
+        self.lines: List[Optional[Tuple[int, ...]]] = []
+        self.values: List[Optional[int]] = []
+        self.lanes: List[Sequence[int]] = []
+        self.line_size = line_size
+        self.extend(ops)
 
     def __len__(self) -> int:
-        return len(self.ops)
+        return len(self.kinds)
+
+    @property
+    def ops(self) -> "WarpOpsView":
+        return WarpOpsView(self)
+
+    def _adopt_line_size(self, line_size: int) -> bool:
+        """Whether lines compiled for *line_size* can be kept here."""
+        if not self.line_size:
+            self.line_size = line_size
+        return line_size == self.line_size
+
+    def append(self, op: WarpOp) -> None:
+        """Append one op as column entries."""
+        code = _OP_CODES.get(op.kind)
+        if code is None:
+            raise ValueError(f"{op.kind} is not a warp op kind")
+        lines = None
+        if (code >= OP_LOAD and op.lines is not None and op.lines_size
+                and self._adopt_line_size(op.lines_size)):
+            lines = tuple(op.lines)
+        self.kinds.append(code)
+        self.cycles.append(op.cycles)
+        self.lines.append(lines)
+        self.values.append(op.value)
+        self.lanes.append(op.addresses)
+
+    def extend(self, source: Union["WarpProgram", Iterable[WarpOp]],
+               start: int = 0, stop: Optional[int] = None) -> None:
+        """Append another program's ops ``[start:stop]``, or WarpOps."""
+        if not isinstance(source, WarpProgram):
+            for op in source:
+                self.append(op)
+            return
+        window = slice(start, stop)
+        lines = source.lines[window]
+        if source.line_size and not self._adopt_line_size(source.line_size):
+            lines = [None] * len(lines)  # another geometry: recompile
+        self.kinds.extend(source.kinds[window])
+        self.cycles.extend(source.cycles[window])
+        self.lines.extend(lines)
+        self.values.extend(source.values[window])
+        self.lanes.extend(source.lanes[window])
 
     def precompile(self, line_size: int) -> None:
         """Precompute coalesced lines for every memory op (idempotent)."""
-        for op in self.ops:
-            precompile_op(op, line_size)
+        recompute = line_size != self.line_size
+        lines, lanes = self.lines, self.lanes
+        for index, code in enumerate(self.kinds):
+            if code >= OP_LOAD and (recompute or lines[index] is None):
+                lines[index] = tuple(
+                    coalesce_addresses(lanes[index], line_size))
+        self.line_size = line_size
+
+
+class WarpOpsView(collections.abc.Sequence):
+    """Read-only :class:`WarpOp` sequence over a program's columns."""
+
+    __slots__ = ("_program",)
+
+    def __init__(self, program: WarpProgram) -> None:
+        self._program = program
+
+    def __len__(self) -> int:
+        return len(self._program)
+
+    def __getitem__(self, index):
+        if isinstance(index, slice):
+            return [self[position]
+                    for position in range(*index.indices(len(self)))]
+        program = self._program
+        lines = program.lines[index]
+        return WarpOp(OP_KINDS[program.kinds[index]], program.lanes[index],
+                      program.values[index], program.cycles[index],
+                      None if lines is None else list(lines),
+                      0 if lines is None else program.line_size)
+
+    def __iter__(self) -> Iterator[WarpOp]:
+        return map(self.__getitem__, range(len(self)))
 
 
 @dataclass

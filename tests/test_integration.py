@@ -38,7 +38,7 @@ class ProducerConsumer(Workload):
         programs = [WarpProgram() for _ in range(self.warps)]
         for index in range(lines):
             line_base = self.base + index * ctx.line_size
-            programs[index % self.warps].ops.append(
+            programs[index % self.warps].append(
                 WarpOp.load([line_base + lane * 4 for lane in range(32)]))
         return [produce, KernelLaunch("consume", programs)]
 
@@ -60,8 +60,8 @@ class RoundTrip(Workload):
             read = [self.src + index * 128 + lane * 4 for lane in range(32)]
             write = [self.dst + index * 128 + lane * 4
                      for lane in range(32)]
-            warp.ops.append(WarpOp.load(read))
-            warp.ops.append(WarpOp.store(write, 555))
+            warp.append(WarpOp.load(read))
+            warp.append(WarpOp.store(write, 555))
         consume = CpuPhase("consume", [
             CpuOp.load(self.dst + offset)
             for offset in range(0, 4096, 128)])

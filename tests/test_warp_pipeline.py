@@ -20,18 +20,24 @@ from repro.mem.cache import SetAssociativeCache
 from repro.vm.mmu import MMU
 from repro.vm.pagetable import PAGE_SIZE, PageTable, PhysicalFrameAllocator
 from repro.vm.tlb import TLB
+from repro.workloads.patterns import coalesce_rows
 from repro.workloads.trace import (
     OpKind,
     WarpOp,
     WarpProgram,
     coalesce_addresses,
-    coalesce_rows,
-    precompile_op,
 )
 
 
 def make_coalescer(line_size: int = 128) -> Coalescer:
     return Coalescer("test.coalescer", line_size)
+
+
+def precompiled(op: WarpOp, line_size: int) -> WarpOp:
+    """*op* with its coalesced lines, as a program precompiles them."""
+    program = WarpProgram([op])
+    program.precompile(line_size)
+    return program.ops[0]
 
 
 def coalescer_stats(coalescer: Coalescer):
@@ -51,8 +57,7 @@ class TestCoalescerEdgeCases:
         assert from_list.coalesce(list(lanes)) == expected
         assert from_array.coalesce(
             np.asarray(lanes, dtype=np.int64)) == expected
-        op = WarpOp.load(lanes)
-        precompile_op(op, 128)
+        op = precompiled(WarpOp.load(lanes), 128)
         assert from_op.coalesce_op(op) == expected
         # an access records one instruction, or nothing when empty
         want = (1, len(expected)) if expected else (0, 0)
@@ -91,8 +96,7 @@ class TestCoalescerEdgeCases:
         assert coalescer_stats(coalescer) == (2, 4)
 
     def test_op_for_another_line_size_is_coalesced_here(self):
-        op = WarpOp.load([0x0, 0x40, 0x80])
-        precompile_op(op, 64)
+        op = precompiled(WarpOp.load([0x0, 0x40, 0x80]), 64)
         assert make_coalescer().coalesce_op(op) == [0x0, 0x80]
 
 
@@ -125,9 +129,9 @@ class TestCoalescerRandomized:
         coalescer = make_coalescer()
         transactions = 0
         for lanes in self.lane_lists():
-            op = WarpOp(OpKind.LOAD,
-                        addresses=np.asarray(lanes, dtype=np.int64))
-            precompile_op(op, 128)
+            op = precompiled(WarpOp(
+                OpKind.LOAD, addresses=np.asarray(lanes, dtype=np.int64)),
+                128)
             assert op.lines_size == 128
             expected = coalesce_addresses(lanes, 128)
             transactions += len(expected)
@@ -143,19 +147,18 @@ class TestCoalescerRandomized:
 
     def test_precompile_is_idempotent(self):
         op = WarpOp.load([0x0, 0x4, 0x100])
-        precompile_op(op, 128)
-        first = op.lines
-        precompile_op(op, 128)
-        assert op.lines is first
+        program = WarpProgram([op])
+        program.precompile(128)
+        first = program.lines[0]
+        program.precompile(128)
+        assert program.lines[0] is first
         # a different geometry recomputes
-        program = WarpProgram(ops=[op])
         program.precompile(64)
-        assert op.lines_size == 64
-        assert op.lines == coalesce_addresses(op.addresses, 64)
+        assert program.ops[0].lines_size == 64
+        assert program.ops[0].lines == coalesce_addresses(op.addresses, 64)
 
     def test_compute_ops_are_skipped(self):
-        op = WarpOp.compute(5)
-        precompile_op(op, 128)
+        op = precompiled(WarpOp.compute(5), 128)
         assert op.lines is None and op.lines_size == 0
 
 
