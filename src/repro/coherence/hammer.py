@@ -29,7 +29,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Callable, Dict, List, Optional, Tuple
 
-from repro.coherence.messages import CoherenceMsgType
 from repro.coherence.protocol_table import (
     LOAD_TRANSITIONS,
     PROBE_GETS_TRANSITIONS,
@@ -46,7 +45,7 @@ from repro.coherence.protocol_table import (
 from repro.coherence.states import HammerState
 from repro.engine.clock import ClockDomain
 from repro.interconnect.direct_network import DirectStoreNetwork
-from repro.interconnect.message import MessageClass, NetworkMessage
+from repro.interconnect.message import MessageClass
 from repro.interconnect.network import Network
 from repro.mem.cache import SetAssociativeCache
 from repro.mem.cacheline import CacheLine
@@ -367,16 +366,8 @@ class HammerSystem:
         # --- the dedicated network hop ---------------------------------
         msg_class = (MessageClass.STORE_FORWARD if len(words) == 1
                      else MessageClass.DATA)
-        forward_raw = getattr(ds_network, "forward_raw", None)
-        if forward_raw is not None:
-            arrival = forward_raw(slice_name, msg_class, line_address, now)
-        else:
-            arrival = ds_network.send(
-                NetworkMessage(src_name, slice_name, msg_class,
-                               line_address,
-                               payload=CoherenceMsgType.DS_PUTX,
-                               created_tick=now),
-                now)
+        arrival = ds_network.forward_raw(slice_name, msg_class,
+                                         line_address, now)
 
         # --- GPU L2 side: I -> MM install / MM merge --------------------
         t_done = arrival + dst.tag_ticks

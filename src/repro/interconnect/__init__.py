@@ -10,20 +10,20 @@ Two networks exist in the simulated system (paper Fig. 2, right):
   (:class:`~repro.interconnect.direct_network.DirectStoreNetwork`), the
   dotted line in Fig. 2.
 
-Both are latency + bandwidth models: ``send`` returns the arrival tick
-and holds link occupancy so back-to-back messages serialize.
+Both are latency + bandwidth models: ``Crossbar.send_raw`` and
+``DirectStoreNetwork.forward_raw`` return the arrival tick and hold link
+occupancy so back-to-back messages serialize.
 """
 
 from repro.interconnect.direct_network import DirectStoreNetwork
 from repro.interconnect.link import Link
-from repro.interconnect.message import MessageClass, NetworkMessage
+from repro.interconnect.message import MessageClass
 from repro.interconnect.network import Crossbar, Network
 
 __all__ = [
     "DirectStoreNetwork",
     "Link",
     "MessageClass",
-    "NetworkMessage",
     "Crossbar",
     "Network",
 ]

@@ -17,7 +17,7 @@ from typing import Dict, List
 
 from repro.engine.clock import ClockDomain
 from repro.interconnect.link import Link
-from repro.interconnect.message import MessageClass, NetworkMessage
+from repro.interconnect.message import MessageClass
 from repro.interconnect.network import Network
 from repro.telemetry.tracer import TRACER
 
@@ -46,35 +46,13 @@ class DirectStoreNetwork(Network):
     def slice_names(self) -> List[str]:
         return list(self._links)
 
-    def send(self, message: NetworkMessage, now_tick: int) -> int:
-        """Forward one store message; return its arrival tick at the slice."""
-        if message.src != self.source:
-            raise ValueError(
-                f"{self.name}: only {self.source!r} may send, "
-                f"got {message.src!r}")
-        link = self._links.get(message.dst)
-        if link is None:
-            raise KeyError(f"{self.name}: unknown slice {message.dst!r}")
-        self._account(message)
-        forwarded = message.msg_class in (MessageClass.DATA,
-                                          MessageClass.STORE_FORWARD)
-        if forwarded:
-            self._forwarded.increment()
-        arrival = link.send(message.size_bytes(self.line_size), now_tick)
-        if TRACER.enabled:
-            TRACER.span(
-                "direct_store", "forward" if forwarded else "message",
-                now_tick, arrival, track=self.name,
-                args={"dst": message.dst,
-                      "line": message.line_address})
-        return arrival
-
     def forward_raw(self, dst: str, msg_class: MessageClass,
                     line_address: int, now_tick: int) -> int:
-        """Forward one store with no :class:`NetworkMessage` allocation.
+        """Forward one store from the source to slice *dst*.
 
-        Timing, accounting, and trace stream identical to :meth:`send`
-        for a DATA/STORE_FORWARD message from the fixed source.
+        *msg_class* is STORE_FORWARD for a single word or DATA for a
+        full-line burst; either counts as one forwarded store.  Returns
+        the arrival tick at the slice.
         """
         link = self._links.get(dst)
         if link is None:

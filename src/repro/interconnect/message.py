@@ -1,13 +1,8 @@
-"""Network messages and virtual-network classes."""
+"""Virtual-network message classes."""
 
 from __future__ import annotations
 
-import itertools
-from dataclasses import dataclass, field
 from enum import Enum
-from typing import Optional
-
-_message_ids = itertools.count()
 
 
 class MessageClass(Enum):
@@ -48,22 +43,3 @@ class MessageClass(Enum):
             return "resp"
         return "data"
 
-
-@dataclass
-class NetworkMessage:
-    """One message in flight on an interconnect."""
-
-    src: str
-    dst: str
-    msg_class: MessageClass
-    line_address: int
-    payload: object = None
-    created_tick: int = 0
-    msg_id: int = field(default_factory=lambda: next(_message_ids))
-
-    def size_bytes(self, line_size: int) -> int:
-        return self.msg_class.size_bytes(line_size)
-
-    def __repr__(self) -> str:
-        return (f"NetworkMessage(#{self.msg_id} {self.src}->{self.dst} "
-                f"{self.msg_class.value} line={self.line_address:#x})")

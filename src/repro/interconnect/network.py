@@ -16,14 +16,14 @@ from typing import Dict, List
 
 from repro.engine.clock import ClockDomain
 from repro.interconnect.link import Link
-from repro.interconnect.message import MessageClass, NetworkMessage
+from repro.interconnect.message import MessageClass
 from repro.telemetry.tracer import TRACER
 from repro.utils.profiler import PROFILER
 from repro.utils.statistics import StatsRegistry
 
 
 class Network:
-    """Base class: a named set of nodes that can exchange messages."""
+    """Base class: a named network's message and byte counters."""
 
     def __init__(self, name: str, clock: ClockDomain,
                  line_size: int = 128) -> None:
@@ -33,27 +33,6 @@ class Network:
         self.stats = StatsRegistry(name)
         self._messages = self.stats.counter("messages")
         self._bytes = self.stats.counter("bytes")
-
-    def send(self, message: NetworkMessage, now_tick: int) -> int:
-        """Deliver *message*; return the arrival tick."""
-        raise NotImplementedError
-
-    def send_raw(self, src: str, dst: str, msg_class, line_address: int,
-                 now_tick: int) -> int:
-        """Deliver a plain-field message; return the arrival tick.
-
-        The allocation-free fast path for senders that carry no payload
-        (the protocol engine sends millions of control messages whose
-        only content is src/dst/class/line).  The base implementation
-        wraps the fields in a :class:`NetworkMessage` so any subclass
-        that only implements :meth:`send` still works.
-        """
-        return self.send(NetworkMessage(src, dst, msg_class, line_address,
-                                        created_tick=now_tick), now_tick)
-
-    def _account(self, message: NetworkMessage) -> None:
-        self._messages.increment()
-        self._bytes.increment(message.size_bytes(self.line_size))
 
     @property
     def total_messages(self) -> int:
@@ -110,37 +89,13 @@ class Crossbar(Network):
     def nodes(self) -> List[str]:
         return list(self._egress)
 
-    def send(self, message: NetworkMessage, now_tick: int) -> int:
-        """Route src→dst through the switch; return arrival tick."""
-        if message.src not in self._egress:
-            raise KeyError(f"{self.name}: unknown source {message.src!r}")
-        if message.dst not in self._ingress:
-            raise KeyError(f"{self.name}: unknown dest {message.dst!r}")
-        prof = PROFILER
-        profiling = prof.enabled
-        if profiling:
-            prof.start("network")
-        self._account(message)
-        size = message.size_bytes(self.line_size)
-        vnet = message.msg_class.virtual_network
-        at_switch = self._egress[message.src][vnet].send(size, now_tick)
-        arrival = self._ingress[message.dst][vnet].send(size, at_switch)
-        if profiling:
-            prof.stop()
-        if TRACER.enabled:
-            TRACER.span(
-                "network", message.msg_class.name.lower(), now_tick,
-                arrival, track=self.name,
-                args={"src": message.src, "dst": message.dst,
-                      "line": message.line_address, "bytes": size})
-        return arrival
-
     def send_raw(self, src: str, dst: str, msg_class, line_address: int,
                  now_tick: int) -> int:
-        """Route src→dst with no :class:`NetworkMessage` allocation.
+        """Route src→dst through the switch; return the arrival tick.
 
-        Identical timing, accounting, and trace stream to :meth:`send`
-        for a payload-free message of *msg_class*.
+        A message is only its fields: the protocol engine sends millions
+        of control messages whose content is src/dst/class/line, so
+        nothing is allocated per message.
         """
         egress = self._egress.get(src)
         if egress is None:

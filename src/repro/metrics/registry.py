@@ -28,7 +28,7 @@ never silently fork a metric.
 format (version 0.0.4), deterministically ordered (families by name,
 children by label values) so scrapes diff cleanly;
 :meth:`MetricsRegistry.snapshot` emits the same data as a JSON-able
-document for ``GET /stats?v=2`` and ``BENCH_harness.json``.
+document for ``GET /stats?v=2``.
 """
 
 from __future__ import annotations

@@ -1,7 +1,7 @@
 """Run provenance: what produced a persisted result, and from where.
 
 Every persisted artifact (result-cache entries, ``save_comparisons``
-output, ``BENCH_harness.json``) embeds a manifest so numbers can always
+output) embeds a manifest so numbers can always
 be tied back to the exact code, interpreter, and configuration that
 produced them.  All git lookups degrade to ``None`` outside a checkout —
 a manifest never makes a run fail.

@@ -4,8 +4,8 @@ Attributes host (wall) time to named sections — coalescer, TLB, cache,
 protocol (the Hammer walk), protocol_table (the table-driven probe
 pass), mshr (in-flight/merge checks), dram (bank/row
 timing), network (crossbar link booking), engine, trace build — so a
-perf PR's win is measurable inside the simulator rather than only
-through ``tools/bench_harness.py``.
+perf change's win is measurable inside the simulator, not only as a
+whole run's wall time.
 
 Sections nest: time spent inside an inner section is attributed to the
 inner section only (*self time*), so the report's seconds column sums to
